@@ -12,7 +12,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet lint race cover faults ckpt jobd-e2e check bench bench-insitu bench-balance bench-density bench-oocore
+.PHONY: build test vet lint race cover faults ckpt hull jobd-e2e check bench bench-insitu bench-balance bench-density bench-oocore
 
 build:
 	$(GO) build ./...
@@ -71,7 +71,14 @@ jobd-e2e:
 ckpt:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'CrashResume|CheckpointResume|ResumeValidation|StepFromFileSource' .
 
-check: vet lint race cover faults ckpt jobd-e2e
+# Hull cross-check acceptance: the gated hull pass (cells near a cull
+# bound plus a fixed ID-hashed sample) takes every cull decision the full
+# pass takes, byte for byte across worker counts and decompositions, under
+# the race detector.
+hull:
+	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'TestHullGatedMatchesFullPass|TestHullPassAgreesWithClipping' ./internal/core
+
+check: vet lint race cover faults ckpt hull jobd-e2e
 
 # Headline perf benches: worker-pool scaling and allocation counts.
 bench:

@@ -24,6 +24,15 @@ func canonicalBytes(t *testing.T, out *Output, cfg Config) []byte {
 	return b
 }
 
+// requireHullAgrees fails the test if a step's hull cross-check found a
+// cell whose Quickhull and clipping volumes disagree, or checked nothing.
+func requireHullAgrees(t *testing.T, step int, out *Output) {
+	t.Helper()
+	if c := out.Counts; c.HullDisagree != 0 || c.HullChecked == 0 {
+		t.Errorf("step %d: %d of %d hull-checked cells disagree with clipping", step, c.HullDisagree, c.HullChecked)
+	}
+}
+
 // TestCrashResumeByteIdentity is the checkpoint/restart acceptance
 // gate: a session auto-checkpointing every step is crashed by fault
 // injection at step 3's compute phase, resumed from the on-disk
@@ -50,6 +59,7 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					requireHullAgrees(t, s, out)
 					want[s] = canonicalBytes(t, out, cfg)
 				}
 
@@ -95,6 +105,7 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("post-resume step %d: %v", s, err)
 					}
+					requireHullAgrees(t, s, out)
 					if got := canonicalBytes(t, out, cfg); !bytes.Equal(got, want[s]) {
 						t.Fatalf("step %d canonical mesh differs after resume", s)
 					}

@@ -8,9 +8,9 @@
 // region of particles with its 26-connected neighborhood (with periodic
 // boundary transforms), computes the Voronoi cells of its own particles
 // locally, deletes cells that cannot be proven correct, culls cells outside
-// a volume threshold (with a cheap conservative pre-pass), derives cell
-// geometry through a Quickhull pass, and writes all blocks collectively to
-// a single file.
+// a volume threshold (with a cheap conservative pre-pass, and a Quickhull
+// check of the volumes near the threshold), and writes all blocks
+// collectively to a single file.
 //
 // # Modes
 //

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cosmo"
 	"repro/internal/diy"
 	"repro/internal/geom"
 	"repro/internal/meshio"
+	"repro/internal/nbody"
 )
 
 // balanceGhost is the ghost size of every byte-identity test here. The
@@ -65,6 +68,7 @@ func TestMergeCanonicalByteIdenticalRegularVsRCB(t *testing.T) {
 	for _, blocks := range []int{2, 4, 8} {
 		cfg := baseConfig(L)
 		cfg.GhostSize = balanceGhost
+		cfg.HullPass = true
 		regular, err := Run(cfg, ps, blocks)
 		if err != nil {
 			t.Fatalf("blocks=%d regular: %v", blocks, err)
@@ -81,6 +85,7 @@ func TestMergeCanonicalByteIdenticalRegularVsRCB(t *testing.T) {
 		if regular.Counts != rcb.Counts {
 			t.Errorf("blocks=%d: counts differ: grid %+v, rcb %+v", blocks, regular.Counts, rcb.Counts)
 		}
+		requireHullAgrees(t, fmt.Sprintf("blocks=%d", blocks), cfg, rcb.Counts)
 		if !bytes.Equal(want, got) {
 			t.Errorf("blocks=%d: canonical merged mesh differs between grid and RCB", blocks)
 		}
@@ -219,5 +224,87 @@ func TestSessionRCBOversizedGhostFailsAtOpen(t *testing.T) {
 	cfg.GhostSize = 5 // > L/2 = 4
 	if _, err := OpenSession(cfg, 4); err == nil {
 		t.Fatal("oversized RCB ghost accepted at Open")
+	}
+}
+
+// pmParticles returns the 16³ PM simulation's particles after steps steps
+// from the Zel'dovich start of the field drawn with seed.
+func pmParticles(t testing.TB, seed int64, steps int) []diy.Particle {
+	t.Helper()
+	cfg := nbody.DefaultConfig(16)
+	cfg.Cosmo.Seed = seed
+	sim, err := nbody.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(steps, nil)
+	ps := make([]diy.Particle, len(sim.Pos))
+	for i, p := range sim.Pos {
+		ps[i] = diy.Particle{ID: int64(i), Pos: p}
+	}
+	return ps
+}
+
+// MergeCanonical must accept near-lattice and evolved inputs with
+// Voronoi vertices closer than the block weld quantum, whose welded vertex
+// lists a face twice so its first plane triple is degenerate: the built-in
+// sim's 16³ Zel'dovich start (once rejected at cell 25) and an evolved
+// snapshot (seed 1, step 24; once rejected at cell 179). The merged cells
+// must tile the box, and the merged mesh must not depend on the block
+// count or the decomposition, which holds only if the weld quantum does
+// not either. In seed 3, step 30 the clipping kernel yields two vertices
+// of cell 4056 closer than the weld quantum under the grid decomposition
+// and one under RCB (once rejected on the grid, merged under RCB).
+func TestMergeCanonicalNearLatticeVertices(t *testing.T) {
+	inputs := []struct {
+		name        string
+		seed, steps int64
+	}{
+		{"zeldovich-start", nbody.DefaultConfig(16).Cosmo.Seed, 0},
+		{"seed1-step24", 1, 24},
+		{"seed3-step30", 3, 30},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			ps := pmParticles(t, in.seed, int(in.steps))
+			const L = 16.0
+			cfg := baseConfig(L)
+			cfg.GhostSize = 4
+			cfg.HullPass = true
+			var want []byte
+			for _, run := range []struct {
+				blocks int
+				decomp DecompKind
+			}{{1, DecomposeRegular}, {2, DecomposeRegular}, {8, DecomposeRegular}, {8, DecomposeRCB}} {
+				blocks := run.blocks
+				cfg.Decomposition = run.decomp
+				out, err := Run(cfg, ps, blocks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireHullAgrees(t, fmt.Sprintf("blocks=%d", blocks), cfg, out.Counts)
+				m, err := meshio.MergeCanonical(out.Meshes, cfg.Domain, cfg.Periodic)
+				if err != nil {
+					t.Fatalf("blocks=%d decomposition %d: merge: %v", blocks, run.decomp, err)
+				}
+				var vol float64
+				for _, v := range m.Volumes {
+					vol += v
+				}
+				if len(m.Volumes) != len(ps) || math.Abs(vol-L*L*L) > 1e-9*L*L*L {
+					t.Errorf("blocks=%d decomposition %d: %d merged cells of volume %.12g, want %d tiling %g",
+						blocks, run.decomp, len(m.Volumes), vol, len(ps), L*L*L)
+				}
+				got, err := m.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Errorf("blocks=%d decomposition %d: merged mesh differs from the single-block merge", blocks, run.decomp)
+				}
+			}
+		})
 	}
 }

@@ -486,7 +486,7 @@ func (s *Session) tessellateRank(rank int, outputPath string) (*BlockResult, Tim
 	rs.mergeGhosts(block, local, ghosts, s.cfg)
 	rec.End(rank, sp)
 	sp = rec.Begin(rank, obs.PhaseCompute)
-	res, err := computeIndexedCellsIn(&rs.bi, local, s.cfg, EffectiveWorkers(s.cfg, s.w.Size()), &rs.cb)
+	res, err := computeIndexedCellsIn(&rs.bi, local, s.cfg, EffectiveWorkers(s.cfg, s.w.Size()), false, &rs.cb)
 	if err != nil {
 		return nil, tm, err
 	}
@@ -515,11 +515,8 @@ func (s *Session) tessellateRank(rank int, outputPath string) (*BlockResult, Tim
 	tm.Output = time.Since(t0)
 	tm.Total = time.Since(start)
 	inj.Checkpoint(rank, "done")
+	countResult(rec, rank, res)
 	if rec != nil {
-		ghostsID, keptID, sitesID := registerCounters(rec)
-		rec.Count(rank, ghostsID, int64(res.Ghosts))
-		rec.Count(rank, keptID, res.Counts.Kept)
-		rec.Count(rank, sitesID, res.Counts.Sites)
 		rec.Count(rank, s.warmID, int64(warm))
 		rec.Count(rank, s.coldID, int64(cold))
 	}

@@ -64,6 +64,7 @@ func TestSessionStepByteIdenticalToRun(t *testing.T) {
 			t.Run(fmt.Sprintf("blocks=%d/workers=%d", blocks, workers), func(t *testing.T) {
 				cfg := baseConfig(float64(ng))
 				cfg.Workers = workers
+				cfg.HullPass = true
 				s, err := OpenSession(cfg, blocks)
 				if err != nil {
 					t.Fatal(err)
@@ -81,6 +82,7 @@ func TestSessionStepByteIdenticalToRun(t *testing.T) {
 					if got.Counts != want.Counts {
 						t.Errorf("step %d: counts %+v, want %+v", step, got.Counts, want.Counts)
 					}
+					requireHullAgrees(t, fmt.Sprintf("step %d", step), cfg, got.Counts)
 					if got.Ghosts != want.Ghosts {
 						t.Errorf("step %d: ghosts %d, want %d", step, got.Ghosts, want.Ghosts)
 					}

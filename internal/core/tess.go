@@ -9,9 +9,13 @@
 //     because cells are built per local site; (b) delete incomplete cells;
 //     (c) delete cells safely below the volume threshold using a cheap
 //     circumscribing-sphere bound; (d) order cell vertices into faces and
-//     compute volume and surface area (optionally re-deriving them through
-//     the Quickhull engine, the paper's step); (e) delete any other cells
-//     outside the volume thresholds;
+//     compute volume and surface area — the clipping kernel produces both
+//     directly, so the paper's Qhull pass runs (with Config.HullPass) only
+//     where it can change an outcome: on cells whose clipping volume lies
+//     within a relative hullEps of a cull bound, plus a fixed hash-selected
+//     sample that cross-checks the two geometry engines; (e) delete any
+//     other cells outside the volume thresholds, deciding on the hull
+//     volume wherever one was computed;
 //  4. write local sites and cells collectively to storage.
 //
 // Each phase is timed separately, which is what populates Table II and the
@@ -79,10 +83,20 @@ type Config struct {
 	// (normally they are deleted, per step 3b); the accuracy study keeps
 	// them to measure how wrong they are.
 	KeepIncomplete bool
-	// HullPass re-derives each kept cell's volume and area through the
-	// Quickhull engine, mirroring the paper's use of Qhull to order cell
-	// vertices and compute geometry. It is also the cross-check that the
-	// two geometry engines agree.
+	// HullPass runs the Quickhull engine as a check on the volumes that
+	// decide culls. The clipping kernel already orders each cell's faces
+	// and yields its volume (the mesh stores that volume), so the hull only
+	// matters where MinVolume/MaxVolume compare against it: a cell whose
+	// clipping volume lies within a relative 1e-6 of a set bound is
+	// re-hulled and the cull decided on the hull volume (the clipping
+	// volume if the hull fails), which keeps every decision identical to
+	// hulling every cell. A fixed 1-in-64 sample of the cells reaching the
+	// exact volume test, chosen by a hash of the particle ID, is also
+	// hulled and compared, so the count is the same for every worker count
+	// and decomposition; CellCounts.HullChecked/HullDisagree and the
+	// "hull-checked"/"hull-disagree" recorder counters report the result.
+	// RunTimed alone hulls every cell, as the paper's step 3(d) does,
+	// because its timings are the Table II / Figure 10 cost model.
 	HullPass bool
 	// OutputPath, when non-empty, writes all blocks to this single file
 	// through the collective I/O layer.
@@ -140,17 +154,42 @@ type Config struct {
 
 // Names of the registered pipeline counters in Config.Recorder.
 const (
-	CounterGhosts    = "ghosts-recvd"
-	CounterCellsKept = "cells-kept"
-	CounterSites     = "sites"
+	CounterGhosts       = "ghosts-recvd"
+	CounterCellsKept    = "cells-kept"
+	CounterSites        = "sites"
+	CounterHullChecked  = "hull-checked"
+	CounterHullDisagree = "hull-disagree"
 )
+
+// pipelineCounters are the resolved IDs of the pipeline counters.
+type pipelineCounters struct {
+	ghosts, kept, sites, hullChecked, hullDisagree obs.CounterID
+}
 
 // registerCounters resolves the pipeline counter IDs (idempotent; see
 // obs.RegisterCounter).
-func registerCounters(rec *obs.Recorder) (ghosts, kept, sites obs.CounterID) {
-	return rec.RegisterCounter(CounterGhosts),
-		rec.RegisterCounter(CounterCellsKept),
-		rec.RegisterCounter(CounterSites)
+func registerCounters(rec *obs.Recorder) pipelineCounters {
+	return pipelineCounters{
+		ghosts:       rec.RegisterCounter(CounterGhosts),
+		kept:         rec.RegisterCounter(CounterCellsKept),
+		sites:        rec.RegisterCounter(CounterSites),
+		hullChecked:  rec.RegisterCounter(CounterHullChecked),
+		hullDisagree: rec.RegisterCounter(CounterHullDisagree),
+	}
+}
+
+// countResult adds one rank's pass result to the pipeline counters; a nil
+// recorder is a no-op.
+func countResult(rec *obs.Recorder, rank int, res *BlockResult) {
+	if rec == nil {
+		return
+	}
+	ids := registerCounters(rec)
+	rec.Count(rank, ids.ghosts, int64(res.Ghosts))
+	rec.Count(rank, ids.kept, res.Counts.Kept)
+	rec.Count(rank, ids.sites, res.Counts.Sites)
+	rec.Count(rank, ids.hullChecked, res.Counts.HullChecked)
+	rec.Count(rank, ids.hullDisagree, res.Counts.HullDisagree)
 }
 
 // EffectiveWorkers resolves cfg.Workers for a run with concurrentRanks
@@ -193,6 +232,26 @@ type CellCounts struct {
 	CulledEarly int64 // deleted by the conservative pre-hull bound
 	CulledExact int64 // deleted after exact volume computation
 	Kept        int64 // cells in the output
+	// HullChecked counts cells whose volume the Quickhull engine
+	// re-derived (Config.HullPass); HullDisagree counts those where the
+	// hull failed or its volume differed from the clipping volume by more
+	// than a relative 1e-6. A nonzero HullDisagree means the two geometry
+	// engines disagree on this input.
+	HullChecked  int64
+	HullDisagree int64
+}
+
+// add returns the fieldwise sum of two counts.
+func (c CellCounts) add(o CellCounts) CellCounts {
+	return CellCounts{
+		Sites:        c.Sites + o.Sites,
+		Incomplete:   c.Incomplete + o.Incomplete,
+		CulledEarly:  c.CulledEarly + o.CulledEarly,
+		CulledExact:  c.CulledExact + o.CulledExact,
+		Kept:         c.Kept + o.Kept,
+		HullChecked:  c.HullChecked + o.HullChecked,
+		HullDisagree: c.HullDisagree + o.HullDisagree,
+	}
 }
 
 // BlockResult is one rank's tessellation output.
@@ -275,7 +334,7 @@ func TessellateBlock(w *comm.World, d *diy.Decomposition, rank int, local []diy.
 	bi := mergeGhosts(block, local, ghosts, cfg)
 	rec.End(rank, sp)
 	sp = rec.Begin(rank, obs.PhaseCompute)
-	res, err := computeIndexedCells(bi, local, cfg, EffectiveWorkers(cfg, w.Size()))
+	res, err := computeIndexedCells(bi, local, cfg, EffectiveWorkers(cfg, w.Size()), false)
 	if err != nil {
 		return nil, tm, err
 	}
@@ -304,12 +363,7 @@ func TessellateBlock(w *comm.World, d *diy.Decomposition, rank int, local []diy.
 	tm.Output = time.Since(t0)
 	tm.Total = time.Since(start)
 	inj.Checkpoint(rank, "done")
-	if rec != nil {
-		ghostsID, keptID, sitesID := registerCounters(rec)
-		rec.Count(rank, ghostsID, int64(res.Ghosts))
-		rec.Count(rank, keptID, res.Counts.Kept)
-		rec.Count(rank, sitesID, res.Counts.Sites)
-	}
+	countResult(rec, rank, res)
 	return res, tm, nil
 }
 
@@ -355,18 +409,52 @@ func initialClipBox(block diy.Block, cfg Config) geom.Box {
 
 // computeBlockCells is the compute stage of one block: Voronoi cells for
 // every local site against local+ghost particles, completeness filtering,
-// the two-stage volume cull, and the optional hull pass. It is the
-// ghost-merge and cell-compute sub-phases run back to back; drivers that
-// time the sub-phases separately call mergeGhosts and computeIndexedCells
-// themselves.
-func computeBlockCells(block diy.Block, local, ghosts []diy.Particle, cfg Config, workers int) (*BlockResult, error) {
-	return computeIndexedCells(mergeGhosts(block, local, ghosts, cfg), local, cfg, workers)
+// the two-stage volume cull, and the optional hull pass (fullHull as for
+// computeIndexedCellsIn). It is the ghost-merge and cell-compute
+// sub-phases run back to back; drivers that time the sub-phases
+// separately call mergeGhosts and computeIndexedCells themselves.
+func computeBlockCells(block diy.Block, local, ghosts []diy.Particle, cfg Config, workers int, fullHull bool) (*BlockResult, error) {
+	return computeIndexedCells(mergeGhosts(block, local, ghosts, cfg), local, cfg, workers, fullHull)
 }
 
 // computeIndexedCells runs the per-site cell pipeline over a merged block
 // index with fresh (single-pass) buffers. See computeIndexedCellsIn.
-func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, workers int) (*BlockResult, error) {
-	return computeIndexedCellsIn(bi, local, cfg, workers, new(computeBuffers))
+func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, workers int, fullHull bool) (*BlockResult, error) {
+	return computeIndexedCellsIn(bi, local, cfg, workers, fullHull, new(computeBuffers))
+}
+
+// The hull cross-check of Config.HullPass.
+const (
+	// hullEps is the relative volume tolerance of the check: the two
+	// geometry engines agree to it (voronoi's TestClippedCellMatchesQuickhull),
+	// so a cell whose clipping volume is farther than this from every cull
+	// bound gets the same decision from either volume, and only the cells
+	// inside the band need the hull.
+	hullEps = 1e-6
+	// hullSampleMod selects the cross-check sample: a cell is sampled when
+	// the splitmix64 hash of its particle ID is divisible by it.
+	hullSampleMod = 64
+)
+
+// hullSampled reports whether the cell of particle id is in the fixed
+// cross-check sample. The choice depends on the ID alone, so the sample is
+// the same for every worker count, block count and decomposition.
+func hullSampled(id int64) bool {
+	x := uint64(id) + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	x ^= x >> 31
+	return x%hullSampleMod == 0
+}
+
+// nearCullBound reports whether a clipping volume lies within the relative
+// hullEps band of a set cull bound. The band is relative to vol itself:
+// outside it, any hull volume within hullEps·vol of vol falls on the same
+// side of the bound.
+func nearCullBound(vol float64, cfg Config) bool {
+	band := hullEps * vol
+	return (cfg.MinVolume > 0 && math.Abs(vol-cfg.MinVolume) <= band) ||
+		(cfg.MaxVolume > 0 && math.Abs(vol-cfg.MaxVolume) <= band)
 }
 
 // computeBuffers is the retained storage of the compute stage: per-worker
@@ -426,9 +514,15 @@ func resizeZeroed[T any](s []T, n int) []T {
 // per worker and summed, and each cell's arithmetic is untouched by the
 // fan-out.
 //
+// With cfg.HullPass, the Quickhull engine re-derives the volume of the
+// cells near a cull bound and of the fixed cross-check sample (see
+// Config.HullPass); fullHull re-derives it for every cell instead, the
+// paper's step 3(d) cost that RunTimed measures. Both give the same cull
+// decisions whenever the engines agree to hullEps.
+//
 // The returned BlockResult is a loan against cb: its mesh (and the cells
 // it was built from) are valid only until cb's next pass.
-func computeIndexedCellsIn(bi *blockIndex, local []diy.Particle, cfg Config, workers int, cb *computeBuffers) (*BlockResult, error) {
+func computeIndexedCellsIn(bi *blockIndex, local []diy.Particle, cfg Config, workers int, fullHull bool, cb *computeBuffers) (*BlockResult, error) {
 	ix, initBox := bi.ix, bi.initBox
 
 	// Early-cull diameter bound: a convex cell with diameter d has volume
@@ -470,14 +564,19 @@ func computeIndexedCellsIn(bi *blockIndex, local []diy.Particle, cfg Config, wor
 				continue
 			}
 			vol := cell.Volume()
-			if cfg.HullPass {
-				// The paper's step 3(d): run the convex hull of the cell's
-				// vertices to order faces and derive volume. The hull of a
-				// convex cell's vertices is the cell itself, so this agrees
-				// with the clipping-derived value (asserted by tests); it is
-				// kept as a faithful cost model and a live cross-check.
-				if h, err := qhull.Compute(cell.Verts); err == nil {
-					vol = h.Volume()
+			if cfg.HullPass && (fullHull || nearCullBound(vol, cfg) || hullSampled(p.ID)) {
+				// The paper's step 3(d): the convex hull of a convex cell's
+				// vertices is the cell itself, so its volume must match the
+				// clipping volume; the cull is decided on the hull volume.
+				counts.HullChecked++
+				if h, err := qhull.Compute(cell.Verts); err != nil {
+					counts.HullDisagree++
+				} else {
+					hv := h.Volume()
+					if math.Abs(hv-vol) > hullEps*vol {
+						counts.HullDisagree++
+					}
+					vol = hv
 				}
 			}
 			if cfg.MinVolume > 0 && vol < cfg.MinVolume {
@@ -499,17 +598,17 @@ func computeIndexedCellsIn(bi *blockIndex, local []diy.Particle, cfg Config, wor
 	}
 	counts := CellCounts{Sites: int64(n)}
 	for _, wc := range wcounts {
-		counts.Incomplete += wc.Incomplete
-		counts.CulledEarly += wc.CulledEarly
-		counts.CulledExact += wc.CulledExact
-		counts.Kept += wc.Kept
+		counts = counts.add(wc)
 	}
 	for _, c := range cells {
 		if c != nil {
 			cb.kept = append(cb.kept, c)
 		}
 	}
-	mesh := cb.mb.Build(cb.kept, bi.bounds, 0)
+	// Weld on a quantum of the domain, not of the block: vertices of one
+	// cell closer than the quantum weld into one, and that topology must
+	// not depend on the decomposition, or neither does the canonical merge.
+	mesh := cb.mb.Build(cb.kept, bi.bounds, 1e-7*cfg.Domain.Size().MaxAbs())
 	return &BlockResult{Mesh: mesh, Counts: counts, Ghosts: bi.ghosts}, nil
 }
 
@@ -540,14 +639,5 @@ func ReduceTiming(w *comm.World, rank int, tm Timing) Timing {
 
 // SumCounts reduces per-rank cell counts to global totals.
 func SumCounts(w *comm.World, rank int, c CellCounts) CellCounts {
-	add := func(a, b CellCounts) CellCounts {
-		return CellCounts{
-			Sites:       a.Sites + b.Sites,
-			Incomplete:  a.Incomplete + b.Incomplete,
-			CulledEarly: a.CulledEarly + b.CulledEarly,
-			CulledExact: a.CulledExact + b.CulledExact,
-			Kept:        a.Kept + b.Kept,
-		}
-	}
-	return comm.Allreduce(w, rank, c, add)
+	return comm.Allreduce(w, rank, c, CellCounts.add)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"os"
@@ -231,6 +232,32 @@ func TestHullPassAgreesWithClipping(t *testing.T) {
 	if outHull.Counts.Kept != outClip.Counts.Kept {
 		t.Errorf("hull pass changed survivor count: %d vs %d",
 			outHull.Counts.Kept, outClip.Counts.Kept)
+	}
+	requireHullAgrees(t, "gated", cfgHull, outHull.Counts)
+	if outClip.Counts.HullChecked != 0 {
+		t.Errorf("hull pass off but %d cells hull-checked", outClip.Counts.HullChecked)
+	}
+	hullEnc, clipEnc := encodeMeshes(t, outHull), encodeMeshes(t, outClip)
+	for r := range hullEnc {
+		if !bytes.Equal(hullEnc[r], clipEnc[r]) {
+			t.Errorf("block %d: hull pass changed the mesh bytes", r)
+		}
+	}
+
+	// RunTimed keeps the full pass: every cell past the early cull is
+	// hull-checked, with the same decisions.
+	timed, err := RunTimed(cfgHull, ps, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := timed.Counts
+	requireHullAgrees(t, "full", cfgHull, tc)
+	if tc.Kept != outHull.Counts.Kept || tc.CulledExact != outHull.Counts.CulledExact {
+		t.Errorf("full pass counts %+v, gated %+v", tc, outHull.Counts)
+	}
+	if tc.HullChecked != tc.Kept+tc.CulledExact || tc.HullChecked <= outHull.Counts.HullChecked {
+		t.Errorf("full pass checked %d cells, want all %d past the early cull (gated checked %d)",
+			tc.HullChecked, tc.Kept+tc.CulledExact, outHull.Counts.HullChecked)
 	}
 }
 

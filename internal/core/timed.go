@@ -74,11 +74,7 @@ func RunTimed(cfg Config, particles []diy.Particle, numBlocks int) (*TimedOutput
 		}
 
 		out.Meshes[rank] = res.Mesh
-		out.Counts.Sites += res.Counts.Sites
-		out.Counts.Incomplete += res.Counts.Incomplete
-		out.Counts.CulledEarly += res.Counts.CulledEarly
-		out.Counts.CulledExact += res.Counts.CulledExact
-		out.Counts.Kept += res.Counts.Kept
+		out.Counts = out.Counts.add(res.Counts)
 		out.Ghosts += res.Ghosts
 	}
 
@@ -172,18 +168,14 @@ func runTimedRank(cfg Config, d *diy.Decomposition, parts [][]diy.Particle, rank
 	bi := mergeGhosts(d.Block(rank), parts[rank], ghosts, cfg)
 	rec.End(rank, sp)
 	sp = rec.Begin(rank, obs.PhaseCompute)
-	res, err = computeIndexedCells(bi, parts[rank], cfg, EffectiveWorkers(cfg, 1))
+	// The full hull pass: these timings are the paper's cost model, which
+	// runs Qhull on every kept cell.
+	res, err = computeIndexedCells(bi, parts[rank], cfg, EffectiveWorkers(cfg, 1), true)
 	if err != nil {
 		return nil, err
 	}
 	rec.End(rank, sp)
 	out.PerRankCompute[rank] = time.Since(t0)
-
-	if rec != nil {
-		ghostsID, keptID, sitesID := registerCounters(rec)
-		rec.Count(rank, ghostsID, int64(res.Ghosts))
-		rec.Count(rank, keptID, res.Counts.Kept)
-		rec.Count(rank, sitesID, res.Counts.Sites)
-	}
+	countResult(rec, rank, res)
 	return res, nil
 }

@@ -30,7 +30,7 @@ func TestComputeBlockCellsDeterministicAcrossWorkers(t *testing.T) {
 		var refBytes []byte
 		var refCounts CellCounts
 		for _, workers := range []int{1, 2, 8} {
-			res, err := computeBlockCells(d.Block(rank), parts[rank], ghosts, cfg, workers)
+			res, err := computeBlockCells(d.Block(rank), parts[rank], ghosts, cfg, workers, false)
 			if err != nil {
 				t.Fatalf("rank %d workers %d: %v", rank, workers, err)
 			}

@@ -193,16 +193,20 @@ func superVertices(c geom.Vec3, size float64) []geom.Vec3 {
 }
 
 // markCavity resets the cavity stamp for a new insertion; the stamp array
-// covers the tets that exist before the insertion appends new ones.
+// covers the tets that exist before the insertion appends new ones. It
+// grows geometrically, as the tet slice does, so a build allocates it in
+// amortized linear bytes. Entries past the old length hold zeros or older
+// stamps, never the current one: a fresh array is zeroed and the stamp
+// only increases until it wraps, which clears the whole backing array.
 func (b *builder) markCavity() {
 	if cap(b.inCav) < len(b.tets) {
-		b.inCav = make([]uint32, len(b.tets))
+		b.inCav = make([]uint32, len(b.tets), 2*len(b.tets))
 		b.stamp = 0
 	}
 	b.inCav = b.inCav[:len(b.tets)]
 	b.stamp++
 	if b.stamp == 0 { // wrapped: clear and restart
-		clear(b.inCav)
+		clear(b.inCav[:cap(b.inCav)])
 		b.stamp = 1
 	}
 }

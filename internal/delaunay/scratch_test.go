@@ -3,6 +3,7 @@ package delaunay
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -125,5 +126,28 @@ func TestLocatorAgreesWithExhaustive(t *testing.T) {
 		if loc.Locate(p) != loc2.Locate(p) {
 			t.Fatalf("locator nondeterminism at %v", p)
 		}
+	}
+}
+
+// A cold build must allocate bytes linear in its size: about 2 KiB per
+// final tet, most of it the geometrically grown tet slice (dead tets are
+// kept until the build ends). The cavity stamp array once regrew to
+// exactly the tet count whenever it fell short, which made a cold build
+// of n points allocate O(n²) bytes — 34 KiB per tet at this size.
+func TestColdBuildAllocatesLinearBytes(t *testing.T) {
+	pts := randomCloud(91, 4096, 16)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr, err := Build(pts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	perTet := float64(bytes) / float64(len(tr.Tets))
+	t.Logf("%d points, %d tets, %d bytes (%.0f per tet)", len(pts), len(tr.Tets), bytes, perTet)
+	if perTet > 4096 {
+		t.Errorf("cold build allocated %d bytes, %.0f per final tet; want at most 4096", bytes, perTet)
 	}
 }

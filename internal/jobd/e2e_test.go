@@ -106,6 +106,41 @@ func TestE2EHappyPathByteIdentical(t *testing.T) {
 	}
 }
 
+// POST /v1/jobs answers with the status fixed at admission, and the
+// "queued" event is logged before a scheduler worker can see the job. With
+// idle workers every submission races a worker that may start the job at
+// once: the answer must still be "queued", and "queued" must precede
+// "started" in the stream.
+func TestE2ESubmitAnswersQueuedWithIdleWorkers(t *testing.T) {
+	h := jobdtest.Start(t, jobd.Config{MaxActive: 4})
+	for i := 0; i < 12; i++ {
+		spec := happySpec(int64(100+i), 1)
+		spec.IncludeMesh = false
+		st := h.Submit(t, spec)
+		if st.State != jobd.StateQueued || st.Started != nil {
+			t.Fatalf("submission %d: POST answered state %q (started %v), want %q",
+				i, st.State, st.Started, jobd.StateQueued)
+		}
+		events, final := h.Wait(t, st.ID, e2eWait)
+		if final.State != jobd.StateDone {
+			t.Fatalf("submission %d: final state %q, want done", i, final.State)
+		}
+		queued, started := -1, -1
+		for _, e := range events {
+			switch e.Type {
+			case "queued":
+				queued = e.Seq
+			case "started":
+				started = e.Seq
+			}
+		}
+		if queued < 0 || started < 0 || queued > started {
+			t.Fatalf("submission %d: queued at seq %d, started at seq %d; want queued first",
+				i, queued, started)
+		}
+	}
+}
+
 // A saturated daemon must reject with 429 + Retry-After, and the queue
 // must drain normally afterwards: admission control applies backpressure
 // without wedging the service.

@@ -1,6 +1,9 @@
 package jobd
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 )
@@ -26,6 +29,9 @@ type Event struct {
 	// MeshB64 is the step's merged canonical mesh encoding, base64
 	// (present when the spec set include_mesh).
 	MeshB64 string `json:"mesh_b64,omitempty"`
+	// meshFile names the spool file holding MeshB64 once the job has
+	// finished (see payloadSpool); MeshB64 is then empty until loaded.
+	meshFile string
 	// Obs is the step's observability digest (include_obs).
 	Obs *ObsDigest `json:"obs,omitempty"`
 	// Density is the step's density-field digest (density jobs). The grid
@@ -99,6 +105,91 @@ func (l *eventLog) append(e Event, terminal bool) {
 	l.signal = make(chan struct{})
 	l.mu.Unlock()
 	close(old)
+}
+
+// spill moves the mesh payloads of a finished job's log into files of sp,
+// so the log keeps only their names. A payload whose file cannot be
+// written stays in memory. The job's runner, the log's one writer, calls
+// it, so the payloads cannot change while they are written out.
+func (l *eventLog) spill(sp *payloadSpool) {
+	l.mu.Lock()
+	evs := append([]Event(nil), l.events...)
+	l.mu.Unlock()
+	names := make([]string, len(evs))
+	spilled := 0
+	for i, e := range evs {
+		if e.MeshB64 == "" {
+			continue
+		}
+		if name, err := sp.write(e.Job, e.Seq, e.MeshB64); err == nil {
+			names[i] = name
+			spilled++
+		}
+	}
+	if spilled == 0 {
+		return
+	}
+	l.mu.Lock()
+	for i, name := range names {
+		if name != "" {
+			l.events[i].MeshB64, l.events[i].meshFile = "", name
+		}
+	}
+	l.mu.Unlock()
+}
+
+// loadPayloads reads spilled mesh payloads back into evs, copies
+// returned by since.
+func loadPayloads(evs []Event) error {
+	for i := range evs {
+		if evs[i].meshFile == "" {
+			continue
+		}
+		b, err := os.ReadFile(evs[i].meshFile)
+		if err != nil {
+			return fmt.Errorf("jobd: job %s event %d mesh: %w", evs[i].Job, evs[i].Seq, err)
+		}
+		evs[i].MeshB64, evs[i].meshFile = string(b), ""
+	}
+	return nil
+}
+
+// payloadSpool is a daemon's directory of finished jobs' mesh payloads.
+// A finished 16³ include_mesh job carries about 4 MB of base64 mesh; the
+// daemon keeps every job's event log replayable for as long as it runs,
+// so those payloads live in files rather than on the heap. The directory
+// is made on the first write and removed by Daemon.Close.
+type payloadSpool struct {
+	mu  sync.Mutex
+	dir string
+	err error
+}
+
+// write stores one payload and returns its file name.
+func (sp *payloadSpool) write(job string, seq int, payload string) (string, error) {
+	sp.mu.Lock()
+	if sp.dir == "" && sp.err == nil {
+		sp.dir, sp.err = os.MkdirTemp("", "tessd-payload-")
+	}
+	dir, err := sp.dir, sp.err
+	sp.mu.Unlock()
+	if err != nil {
+		return "", err
+	}
+	name := filepath.Join(dir, fmt.Sprintf("%s-%d.b64", job, seq))
+	if err := os.WriteFile(name, []byte(payload), 0o600); err != nil {
+		return "", err
+	}
+	return name, nil
+}
+
+// remove deletes the spool directory and every payload in it.
+func (sp *payloadSpool) remove() {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.dir != "" {
+		_ = os.RemoveAll(sp.dir)
+	}
 }
 
 // since returns a copy of the events from seq from on, whether the log is

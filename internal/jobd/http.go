@@ -75,7 +75,7 @@ func (d *Daemon) Handler() http.Handler {
 			writeError(w, d, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, nj.Status())
+		writeJSON(w, http.StatusAccepted, nj.admitted)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/events", d.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/density/{step}", d.handleDensity)
@@ -130,7 +130,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, d, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.Status())
+	writeJSON(w, http.StatusAccepted, j.admitted)
 }
 
 // handleEvents streams a job's NDJSON event log: full replay from ?from
@@ -159,6 +159,9 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	cur := from
 	for {
 		evs, closed, changed := j.log.since(cur)
+		if err := loadPayloads(evs); err != nil {
+			return // spool gone with the daemon; the client may retry ?from=cur
+		}
 		for _, e := range evs {
 			if err := enc.Encode(e); err != nil {
 				return // client gone

@@ -195,6 +195,10 @@ type Job struct {
 	id   string
 	spec JobSpec
 	log  *eventLog
+	// admitted is the status at admission (state queued), fixed before
+	// the job becomes visible to the scheduler; POST /v1/jobs answers
+	// with it even if a worker has already started the job.
+	admitted JobStatus
 
 	mu        sync.Mutex
 	state     State
@@ -272,6 +276,7 @@ type Daemon struct {
 	budget *tess.WorkerBudget
 	queue  chan *Job
 	quit   chan struct{}
+	spool  payloadSpool // finished jobs' mesh payloads
 	wg     sync.WaitGroup
 
 	mu        sync.Mutex
@@ -324,6 +329,7 @@ func (d *Daemon) Close() {
 		_, _ = d.Cancel(id) // canceling terminal jobs is a no-op
 	}
 	d.wg.Wait()
+	d.spool.remove()
 }
 
 // Submit validates spec and admits it into the queue. It returns
@@ -350,6 +356,12 @@ func (d *Daemon) Submit(spec JobSpec) (*Job, error) {
 		state:    StateQueued,
 		queuedAt: time.Now().UTC(),
 	}
+	// The queued event and the admission status come first: once the job
+	// is on the queue a free scheduler worker may start it at once, and
+	// its "started" event must follow "queued". A rejected job is dropped
+	// with its log unread.
+	j.log.append(Event{Job: j.id, Type: "queued"}, false)
+	j.admitted = j.Status()
 	// Reserve the queue slot while still holding the registry lock, so a
 	// burst of submitters observes a consistent queue depth.
 	select {
@@ -363,7 +375,6 @@ func (d *Daemon) Submit(spec JobSpec) (*Job, error) {
 	d.order = append(d.order, j.id)
 	d.submitted++
 	d.mu.Unlock()
-	j.log.append(Event{Job: j.id, Type: "queued"}, false)
 	return j, nil
 }
 
@@ -552,6 +563,9 @@ func (d *Daemon) finishJob(j *Job, state State, info *ErrorInfo) {
 	d.running--
 	d.mu.Unlock()
 	d.countTerminal(state)
+	// The payloads are on file before the terminal event, so a reader
+	// that sees the log closed reads them from the spool.
+	j.log.spill(&d.spool)
 	switch state {
 	case StateDone:
 		j.log.append(Event{Job: j.id, Type: "done", Steps: stepsDone}, true)

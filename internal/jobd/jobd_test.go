@@ -1,13 +1,18 @@
 package jobd
 
 import (
+	"encoding/base64"
 	"errors"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	tess "repro"
+	"repro/internal/meshio"
 )
 
 // The event log is append-only with dense sequence numbers, broadcast
@@ -192,5 +197,72 @@ func TestRankErrorExposesFaultCrash(t *testing.T) {
 	var fc *tess.FaultCrash
 	if !errors.As(err, &fc) || fc.Site != "exchange" {
 		t.Fatalf("FaultCrash not reachable through RankError chain: %v", err)
+	}
+}
+
+// A finished job's mesh payloads move to the daemon's spool before its
+// terminal event: the log keeps only file names, a replay reads back the
+// payloads, and Close removes the spool.
+func TestFinishedJobSpillsMeshPayloads(t *testing.T) {
+	d := New(Config{})
+	defer d.Close()
+	rng := rand.New(rand.NewSource(7))
+	snap := make([][3]float64, 200)
+	for i := range snap {
+		snap[i] = [3]float64{8 * rng.Float64(), 8 * rng.Float64(), 8 * rng.Float64()}
+	}
+	spec := JobSpec{L: 8, Blocks: 2, Ghost: 3, Snapshots: [][][3]float64{snap, snap}, IncludeMesh: true}
+	j, err := d.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		_, closed, changed := j.log.since(0)
+		if closed {
+			break
+		}
+		select {
+		case <-changed:
+		case <-time.After(30 * time.Second):
+			t.Fatal("job never finished")
+		}
+	}
+	evs, _, _ := j.log.since(0)
+	steps := 0
+	for _, e := range evs {
+		if e.Type != "step" {
+			continue
+		}
+		steps++
+		if e.MeshB64 != "" || e.meshFile == "" {
+			t.Errorf("step %d: payload of %d bytes kept in memory, spool file %q", e.Step, len(e.MeshB64), e.meshFile)
+		}
+	}
+	if steps != 2 {
+		t.Fatalf("got %d step events, want 2 (final state %s)", steps, j.Status().State)
+	}
+	dir := filepath.Dir(evs[2].meshFile)
+	if err := loadPayloads(evs); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range evs {
+		if e.Type != "step" {
+			continue
+		}
+		mesh, err := base64.StdEncoding.DecodeString(e.MeshB64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := meshio.DecodeBlockMesh(mesh)
+		if err != nil {
+			t.Fatalf("step %d: spooled mesh does not decode: %v", e.Step, err)
+		}
+		if len(m.Volumes) != len(snap) {
+			t.Errorf("step %d: spooled mesh has %d cells, want %d", e.Step, len(m.Volumes), len(snap))
+		}
+	}
+	d.Close()
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("spool %s still present after Close (stat error %v)", dir, err)
 	}
 }

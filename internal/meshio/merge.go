@@ -1,9 +1,10 @@
 package meshio
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -36,8 +37,21 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 		idx      int
 		complete bool
 	}
-	sites := make(map[int64]geom.Vec3)
-	var cells []srcCell
+	nCells, nFaces, nLoop := 0, 0, 0
+	for _, m := range meshes {
+		if m == nil {
+			continue
+		}
+		nCells += len(m.Particles)
+		for _, c := range m.Cells {
+			nFaces += len(c.Faces)
+			for _, f := range c.Faces {
+				nLoop += len(f.Verts)
+			}
+		}
+	}
+	sites := make(map[int64]geom.Vec3, nCells)
+	cells := make([]srcCell, 0, nCells)
 	for _, m := range meshes {
 		if m == nil {
 			continue
@@ -51,11 +65,26 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 			cells = append(cells, srcCell{id, m.Particles[i], m, i, m.Complete[i]})
 		}
 	}
-	sort.Slice(cells, func(a, b int) bool { return cells[a].id < cells[b].id })
+	slices.SortFunc(cells, func(a, b srcCell) int { return cmp.Compare(a.id, b.id) })
 
-	out := &BlockMesh{Extents: domain}
+	// The output's faces and loops are carved from two arenas sized to the
+	// inputs, so the mesh costs a handful of allocations, not one per face.
+	// Each Voronoi vertex lies on three faces of each of its four cells,
+	// which sizes the vertex pool.
+	out := &BlockMesh{
+		Extents:     domain,
+		Verts:       make([]geom.Vec3, 0, nLoop/12),
+		Particles:   make([]geom.Vec3, 0, nCells),
+		ParticleIDs: make([]int64, 0, nCells),
+		Volumes:     make([]float64, 0, nCells),
+		Areas:       make([]float64, 0, nCells),
+		Complete:    make([]bool, 0, nCells),
+		Cells:       make([]CellConn, 0, nCells),
+	}
+	faceArena := make([]FaceConn, 0, nFaces)
+	loopArena := make([]int32, 0, nLoop)
 	weldTol := 1e-9 * maxf(domain.Size().MaxAbs(), 1e-30)
-	pool := map[weldKey]int32{}
+	pool := make(map[weldKey]int32, nLoop/12)
 	intern := func(v geom.Vec3) int32 {
 		k := weldKey{
 			x: int64(roundHalf(v.X / weldTol)),
@@ -71,6 +100,15 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 		return gi
 	}
 
+	// Per-cell scratch, reused from cell to cell.
+	var (
+		planes        []geom.Plane
+		order, rankOf []int
+		adjSlot       = map[int32]int{} // block-local vertex -> adjacency slot
+		adj           [][]int           // adjacent faces per slot
+		canon         = map[int32]geom.Vec3{}
+		coords        []geom.Vec3
+	)
 	for _, cc := range cells {
 		src := cc.mesh.Cells[cc.idx]
 		nf := len(src.Faces)
@@ -79,8 +117,7 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 		}
 		// Canonical plane per face, from the nearest periodic image of the
 		// neighbor site; faces ordered by (neighbor ID, plane offset).
-		planes := make([]geom.Plane, nf)
-		order := make([]int, nf)
+		planes, order, rankOf = planes[:0], order[:0], rankOf[:0]
 		for fi, f := range src.Faces {
 			if f.Neighbor < 0 {
 				return nil, fmt.Errorf("meshio: cell %d has wall face %d; canonical merge requires a complete tessellation", cc.id, f.Neighbor)
@@ -92,46 +129,75 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 			if periodic {
 				ns = nearestImage(ns, cc.site, domain)
 			}
-			planes[fi] = geom.Bisector(cc.site, ns)
-			order[fi] = fi
+			planes = append(planes, geom.Bisector(cc.site, ns))
+			order = append(order, fi)
+			rankOf = append(rankOf, 0)
 		}
-		sort.Slice(order, func(a, b int) bool {
-			fa, fb := src.Faces[order[a]], src.Faces[order[b]]
-			if fa.Neighbor != fb.Neighbor {
-				return fa.Neighbor < fb.Neighbor
+		slices.SortFunc(order, func(a, b int) int {
+			if c := cmp.Compare(src.Faces[a].Neighbor, src.Faces[b].Neighbor); c != 0 {
+				return c
 			}
-			return planes[order[a]].D < planes[order[b]].D
+			return cmp.Compare(planes[a].D, planes[b].D)
 		})
 		// rankOf gives each face its canonical position, so vertex plane
 		// triples can be chosen by canonical order.
-		rankOf := make([]int, nf)
 		for r, fi := range order {
 			rankOf[fi] = r
 		}
 
 		// Vertex -> adjacent faces over the block-local welded indices (the
-		// decomposition-invariant topology).
-		adj := make(map[int32][]int)
+		// decomposition-invariant topology). A face that lists a vertex
+		// twice (see below) is adjacent to it once.
+		clear(adjSlot)
+		clear(canon)
 		for fi, f := range src.Faces {
 			for _, vi := range f.Verts {
-				adj[vi] = append(adj[vi], fi)
+				s, ok := adjSlot[vi]
+				if !ok {
+					s = len(adjSlot)
+					adjSlot[vi] = s
+					if s == len(adj) {
+						adj = append(adj, nil)
+					}
+					adj[s] = adj[s][:0]
+				}
+				if n := len(adj[s]); n > 0 && adj[s][n-1] == fi {
+					continue
+				}
+				adj[s] = append(adj[s], fi)
 			}
 		}
-		canon := make(map[int32]geom.Vec3, len(adj))
 		canonVert := func(vi int32) (geom.Vec3, error) {
 			if v, ok := canon[vi]; ok {
 				return v, nil
 			}
-			fl := adj[vi]
+			fl := adj[adjSlot[vi]]
 			if len(fl) < 3 {
 				return geom.Vec3{}, fmt.Errorf("meshio: cell %d vertex on %d faces", cc.id, len(fl))
 			}
-			// The three canonically-first adjacent planes; any three meet at
-			// the same Voronoi vertex, and this choice is decomposition-free.
-			sort.Slice(fl, func(a, b int) bool { return rankOf[fl[a]] < rankOf[fl[b]] })
+			// Any three adjacent planes meet at the same Voronoi vertex.
+			// Take the three canonically first. Where more than three
+			// planes meet (near-lattice input, or vertices the block weld
+			// joined), those can be (near-)dependent, so fall back to the
+			// best-conditioned triple, ties going to the canonically
+			// first. Both choices depend only on canonical planes and
+			// ranks, so they are decomposition-free.
+			slices.SortFunc(fl, func(a, b int) int { return cmp.Compare(rankOf[a], rankOf[b]) })
 			p1, p2, p3 := planes[fl[0]], planes[fl[1]], planes[fl[2]]
-			det := p1.N.Dot(p2.N.Cross(p3.N))
-			if math.Abs(det) < 1e-12 {
+			det := planeDet(p1, p2, p3)
+			if math.Abs(det) < minPlaneDet {
+				for a := 0; a < len(fl); a++ {
+					for b := a + 1; b < len(fl); b++ {
+						for c := b + 1; c < len(fl); c++ {
+							q1, q2, q3 := planes[fl[a]], planes[fl[b]], planes[fl[c]]
+							if d := planeDet(q1, q2, q3); math.Abs(d) > math.Abs(det) {
+								p1, p2, p3, det = q1, q2, q3, d
+							}
+						}
+					}
+				}
+			}
+			if math.Abs(det) < minPlaneDet {
 				return geom.Vec3{}, fmt.Errorf("meshio: cell %d has a degenerate vertex (plane determinant %g)", cc.id, det)
 			}
 			v := p2.N.Cross(p3.N).Scale(-p1.D).
@@ -142,31 +208,41 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 			return v, nil
 		}
 
-		var conn CellConn
+		firstFace := len(faceArena)
 		var vol, area float64
 		for _, fi := range order {
 			f := src.Faces[fi]
-			coords := make([]geom.Vec3, len(f.Verts))
-			for k, vi := range f.Verts {
+			// Whether the clipping kernel yields two Voronoi vertices closer
+			// than the block weld quantum, which the weld joins, or one
+			// vertex can depend on the decomposition. A face that then
+			// lists a vertex twice in a row keeps it once, so both merge
+			// alike; a face left with fewer than three keeps its loop.
+			verts := dedupCyclic(f.Verts)
+			if len(verts) < 3 {
+				verts = f.Verts
+			}
+			coords = coords[:0]
+			for _, vi := range verts {
 				v, err := canonVert(vi)
 				if err != nil {
 					return nil, err
 				}
-				coords[k] = v
+				coords = append(coords, v)
 			}
 			// Orient the loop outward (agreeing with the bisector normal,
 			// which points from the site toward the neighbor), then rotate it
 			// to start at the lexicographically smallest vertex. Both are
 			// geometric properties, so construction order cannot leak in.
 			if newellNormal(coords).Dot(planes[fi].N) < 0 {
-				reverseVecs(coords)
+				slices.Reverse(coords)
 			}
 			rotateToMin(coords)
-			loop := make([]int32, len(coords))
-			for k, v := range coords {
-				loop[k] = intern(v)
+			first := len(loopArena)
+			for _, v := range coords {
+				loopArena = append(loopArena, intern(v))
 			}
-			conn.Faces = append(conn.Faces, FaceConn{Neighbor: f.Neighbor, Verts: loop})
+			loop := loopArena[first:len(loopArena):len(loopArena)]
+			faceArena = append(faceArena, FaceConn{Neighbor: f.Neighbor, Verts: loop})
 			// Recompute geometry from the pooled vertices so the stored
 			// scalars are exactly consistent with the stored mesh.
 			a := out.Verts[loop[0]]
@@ -177,7 +253,7 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 				vol += a.Sub(cc.site).Dot(b.Sub(cc.site).Cross(c.Sub(cc.site))) / 6
 			}
 		}
-		out.Cells = append(out.Cells, conn)
+		out.Cells = append(out.Cells, CellConn{Faces: faceArena[firstFace:len(faceArena):len(faceArena)]})
 		out.Particles = append(out.Particles, cc.site)
 		out.ParticleIDs = append(out.ParticleIDs, cc.id)
 		out.Volumes = append(out.Volumes, vol)
@@ -185,6 +261,38 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 		out.Complete = append(out.Complete, cc.complete)
 	}
 	return out, nil
+}
+
+// dedupCyclic returns the cyclic loop without the entries equal to their
+// predecessor; the loop itself when it has none.
+func dedupCyclic(loop []int32) []int32 {
+	n := len(loop)
+	var out []int32
+	for k, vi := range loop {
+		if n > 1 && vi == loop[(k+n-1)%n] {
+			if out == nil {
+				out = append(make([]int32, 0, n), loop[:k]...)
+			}
+			continue
+		}
+		if out != nil {
+			out = append(out, vi)
+		}
+	}
+	if out == nil {
+		return loop
+	}
+	return out
+}
+
+// minPlaneDet is the smallest |det| of three face-plane normals that
+// MergeCanonical solves a vertex from.
+const minPlaneDet = 1e-12
+
+// planeDet is the determinant of three planes' normals, the divisor of
+// their Cramer's-rule intersection.
+func planeDet(p1, p2, p3 geom.Plane) float64 {
+	return p1.N.Dot(p2.N.Cross(p3.N))
 }
 
 // nearestImage returns the periodic image of s closest to p in the domain
@@ -212,12 +320,6 @@ func newellNormal(loop []geom.Vec3) geom.Vec3 {
 	return n
 }
 
-func reverseVecs(v []geom.Vec3) {
-	for i, j := 0, len(v)-1; i < j; i, j = i+1, j-1 {
-		v[i], v[j] = v[j], v[i]
-	}
-}
-
 // rotateToMin rotates the cyclic loop so the lexicographically smallest
 // (X, Y, Z) vertex comes first, preserving winding.
 func rotateToMin(v []geom.Vec3) {
@@ -230,8 +332,10 @@ func rotateToMin(v []geom.Vec3) {
 	if min == 0 {
 		return
 	}
-	rot := append(append([]geom.Vec3(nil), v[min:]...), v[:min]...)
-	copy(v, rot)
+	// Rotate left by min in place: reverse both parts, then the whole.
+	slices.Reverse(v[:min])
+	slices.Reverse(v[min:])
+	slices.Reverse(v)
 }
 
 func lexLess(a, b geom.Vec3) bool {

@@ -97,6 +97,23 @@ func (b *MeshBuilder) Build(cells []*voronoi.Cell, extents geom.Box, weldTol flo
 	m.Areas = m.Areas[:0]
 	m.Complete = m.Complete[:0]
 	m.Cells = m.Cells[:0]
+	// Size the arenas before filling them: the mesh's faces and loops
+	// alias them, so an append that outgrows one would keep every outgrown
+	// copy alive as long as the mesh. The slack absorbs step-to-step growth
+	// of a retained builder.
+	nf, nv := 0, 0
+	for _, c := range cells {
+		nf += len(c.Faces)
+		for _, f := range c.Faces {
+			nv += len(f.Loop)
+		}
+	}
+	if cap(b.faceArena) < nf {
+		b.faceArena = make([]FaceConn, 0, nf+nf/8)
+	}
+	if cap(b.vertArena) < nv {
+		b.vertArena = make([]int32, 0, nv+nv/8)
+	}
 	b.faceArena = b.faceArena[:0]
 	b.vertArena = b.vertArena[:0]
 	if b.pool == nil {

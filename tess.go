@@ -131,8 +131,9 @@ func WithOutput(path string) Option { return func(c *Config) { c.OutputPath = pa
 // NewPeriodicConfig returns a Config for the cosmology case: a periodic
 // cubic box [0, L)^3 with a ghost size of 4 units (adequate for particle
 // sets at ~1 unit mean spacing, per the paper's accuracy study) and the
-// Quickhull geometry pass enabled. Options are applied in order on top of
-// those defaults.
+// Quickhull cross-check enabled (Config.HullPass: cells near a volume cull
+// bound and a fixed 1-in-64 sample are re-hulled; with no bound set, only
+// the sample). Options are applied in order on top of those defaults.
 func NewPeriodicConfig(L float64, opts ...Option) Config {
 	cfg := Config{
 		Domain:    geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)),
@@ -148,8 +149,9 @@ func NewPeriodicConfig(L float64, opts ...Option) Config {
 
 // NewBoundedConfig returns a Config for a non-periodic domain; cells
 // touching the domain boundary are reported incomplete and deleted unless
-// KeepIncomplete is set. Options are applied in order on top of the
-// defaults.
+// KeepIncomplete is set. Like NewPeriodicConfig it uses a ghost size of 4
+// and enables the Quickhull cross-check (Config.HullPass). Options are
+// applied in order on top of the defaults.
 func NewBoundedConfig(domain geom.Box, opts ...Option) Config {
 	cfg := Config{
 		Domain:    domain,
